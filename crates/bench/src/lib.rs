@@ -1,11 +1,7 @@
 //! Shared helpers for the reproduction binaries and Criterion benches.
 //!
-//! Every experiment driver under `src/bin/` used to carry its own copy
-//! of the compute-render-print-or-exit scaffolding; it now lives here
-//! once. [`report`] renders any named experiment to a string,
-//! [`run_experiment_main`] is the whole body of the thin per-experiment
-//! bins, and [`EXPERIMENTS`] enumerates the catalog the `all` bin
-//! iterates.
+//! [`report`] renders any named experiment to a string, and
+//! [`EXPERIMENTS`] enumerates the catalog the `repro` bin runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,10 +35,10 @@ pub fn quick_options() -> PipelineOptions {
 }
 
 /// Every experiment name [`report`] understands, in the paper's order.
-/// Each is also the name of a thin bin under `src/bin/`; the figure and
-/// table entries and `sweep` additionally have a matching serving-layer
-/// route (`hybrid`, `loops` and `imbalance` are bin-only). Every report
-/// begins with its own descriptive title line.
+/// `repro <name>` prints each; the figure and table entries and `sweep`
+/// additionally have a matching serving-layer route (`hybrid`, `loops`
+/// and `imbalance` are `repro`-only). Every report begins with its own
+/// descriptive title line.
 pub const EXPERIMENTS: &[&str] = &[
     "table3",
     "fig6",
@@ -89,22 +85,6 @@ pub fn report(name: &str, machine: &MachineConfig) -> Result<String, String> {
         "imbalance" => imbalance_report(machine).map_err(fail),
         "sweep" => sweep_report(machine).map_err(fail),
         other => Err(format!("unknown experiment `{other}`")),
-    }
-}
-
-/// The whole body of a thin experiment bin: renders `name` on the paper
-/// machine, prints the report, and turns a failure into exit code 1.
-#[must_use]
-pub fn run_experiment_main(name: &str) -> std::process::ExitCode {
-    match report(name, &paper_machine()) {
-        Ok(text) => {
-            print!("{text}");
-            std::process::ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::ExitCode::FAILURE
-        }
     }
 }
 

@@ -518,7 +518,7 @@ pub fn sweep_machine(
 /// [`sweep_default_suites`] by a unit test.
 pub const SWEEP_DEFAULT_SUITE_NAMES: [&str; 3] = ["gsmdec", "fir8", "ptrchase"];
 
-/// The suites the default sweep (the `sweep` bin and `GET /sweep`) runs
+/// The suites the default sweep (`repro sweep` and `GET /sweep`) runs
 /// ([`SWEEP_DEFAULT_SUITE_NAMES`]): small enough that the full
 /// 2→16-cluster grid stays cheap, broad enough to cover both workload
 /// classes.

@@ -7,8 +7,10 @@
 //! input order regardless of completion order, so callers that fold them
 //! sequentially stay deterministic.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, PoisonError};
 
 /// Upper bound on worker threads; set `DISTVLIW_THREADS` to override the
 /// detected parallelism (e.g. `DISTVLIW_THREADS=1` forces serial runs for
@@ -28,7 +30,8 @@ fn worker_count(items: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates a panic from `f` (the scope joins all workers first).
+/// Re-raises the first panic from `f`, with its original payload, once
+/// every worker has stopped.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -46,22 +49,34 @@ where
     let ctx = distvliw_obs::trace::current_ctx();
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
-    // The slot unwrap happens *after* the scope closes: if a worker
-    // panicked, `scope` re-raises that worker's panic (with its original
-    // message) instead of this function masking it with a missing-slot
-    // panic of its own.
+    // A worker catches a panic from `f` itself and parks the payload
+    // here: left to unwind, `scope` would re-raise it as a generic "a
+    // scoped thread panicked" and lose the cause. The first payload wins
+    // and stops the hand-out of further items.
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let slots = std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let next = &next;
-            let f = &f;
+            let (next, f, panicked) = (&next, &f, &panicked);
             let ctx = ctx.clone();
             scope.spawn(move || {
                 distvliw_obs::trace::with_ctx(ctx, || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
-                    if tx.send((i, f(item))).is_err() {
-                        break;
+                    match panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                        Ok(r) => {
+                            if tx.send((i, r)).is_err() {
+                                break;
+                            }
+                        }
+                        Err(payload) => {
+                            next.store(items.len(), Ordering::Relaxed);
+                            panicked
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .get_or_insert(payload);
+                            break;
+                        }
                     }
                 });
             });
@@ -73,6 +88,14 @@ where
         }
         slots
     });
+    // Every worker has joined: re-raise the first panic with its own
+    // payload before any slot is unwrapped.
+    if let Some(payload) = panicked
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|s| s.expect("worker produced every index"))
@@ -124,6 +147,24 @@ mod tests {
             .or_else(|| err.downcast_ref::<&str>().copied())
             .unwrap_or("");
         assert!(msg.contains("kernel exploded"), "masked panic: {msg:?}");
+    }
+
+    #[test]
+    fn a_panic_stops_the_hand_out_of_items() {
+        // Every item panics, but each worker stops at its own first
+        // panic, so `f` runs at most once per worker.
+        let items: Vec<u32> = (0..10_000).collect();
+        let calls = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(|| {
+            par_map(&items, |&x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                panic!("item {x} exploded")
+            })
+        });
+        let err = result.unwrap_err();
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.ends_with(" exploded"), "masked panic: {msg:?}");
+        assert!(calls.into_inner() <= worker_count(items.len()));
     }
 
     #[test]

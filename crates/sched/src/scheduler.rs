@@ -1390,19 +1390,22 @@ fn priority_order(ddg: &Ddg, dense: &DenseDeps, load_lat: &NodeMap<u32>) -> Vec<
 /// The MinComs post-pass: choose the virtual→physical cluster permutation
 /// that maximizes profiled local accesses (paper Section 2.2).
 ///
-/// Up to 8 clusters this enumerates all permutations in Heap's-algorithm
-/// order — the original behaviour, pinned byte-identical by the golden
-/// snapshots. Beyond 8 the factorial blows up (16! ≈ 2×10¹³), so larger
-/// sweep machines solve the same problem exactly with the O(n³)
-/// Hungarian assignment instead.
+/// The rule: an optimal mapping; ties go to the first in `permute` order,
+/// at every cluster count. `permute` (a test oracle) is the swap
+/// recursion that enumerates permutations starting from the identity;
+/// [`best_mapping`] finds that permutation in polynomial time.
 fn best_physical_mapping(
     ddg: &Ddg,
     schedule: &Schedule,
     prefs: &PrefMap,
     n_clusters: usize,
 ) -> Vec<usize> {
-    // gain[v][p] = profiled accesses that become local if virtual cluster
-    // v is mapped to physical cluster p.
+    best_mapping(&local_gain(ddg, schedule, prefs, n_clusters))
+}
+
+/// `gain[v][p]` = profiled accesses that become local if virtual cluster
+/// `v` is mapped to physical cluster `p`.
+fn local_gain(ddg: &Ddg, schedule: &Schedule, prefs: &PrefMap, n_clusters: usize) -> Vec<Vec<u64>> {
     let mut gain = vec![vec![0u64; n_clusters]; n_clusters];
     for n in ddg.mem_nodes() {
         let Some(op) = schedule.ops.get(&n) else {
@@ -1415,27 +1418,61 @@ fn best_physical_mapping(
             *g += count;
         }
     }
-    if n_clusters > 8 {
-        return max_assignment(&gain);
-    }
-    let mut best: Vec<usize> = (0..n_clusters).collect();
-    let mut best_score = 0u64;
-    let mut perm: Vec<usize> = (0..n_clusters).collect();
-    permute(&mut perm, 0, &mut |p| {
-        let score: u64 = (0..n_clusters).map(|v| gain[v][p[v]]).sum();
-        if score > best_score {
-            best_score = score;
-            best = p.to_vec();
-        }
-    });
-    best
+    gain
 }
 
-/// Exact maximum-weight assignment (the Hungarian algorithm with
-/// potentials, O(n³)): returns `perm` with `perm[v] = p` maximizing
-/// `Σ gain[v][perm[v]]`. Deterministic for a given matrix.
-fn max_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
+/// The first permutation in `permute` order that maximizes
+/// `Σ gain[v][perm[v]]` (`perm[v] = p`).
+///
+/// One Hungarian solve gives the optimum and optimal duals. The walk then
+/// replays `permute`'s depth-first order, fixing virtual cluster `k` to
+/// the first candidate column through which an optimal completion still
+/// exists. By complementary slackness every edge of every optimal
+/// assignment is tight under the duals, so only tight edges are tried;
+/// each is confirmed by a Hungarian solve over the remaining rows. The
+/// last tight candidate needs no solve: one candidate must succeed.
+fn best_mapping(gain: &[Vec<u64>]) -> Vec<usize> {
     let n = gain.len();
+    let full = hungarian(n, |r, c| gain[r][c]);
+    // `perm` is `permute`'s working slice: at depth `k` the candidates
+    // for row `k` are `perm[k..]`, tried in slice order.
+    let mut perm: Vec<usize> = (0..n).collect();
+    let mut fixed = 0u64;
+    for k in 0..n {
+        let tight: Vec<usize> = (k..n)
+            .filter(|&i| full.row_dual[k] + full.col_dual[perm[i]] == gain[k][perm[i]] as i64)
+            .collect();
+        let (&last, rest) = tight
+            .split_last()
+            .expect("an optimal completion passes through a tight edge");
+        let pick = rest
+            .iter()
+            .copied()
+            .find(|&i| {
+                perm.swap(k, i);
+                let tail = hungarian(n - k - 1, |r, c| gain[k + 1 + r][perm[k + 1 + c]]);
+                perm.swap(k, i);
+                fixed + gain[k][perm[i]] + tail.value == full.value
+            })
+            .unwrap_or(last);
+        perm.swap(k, pick);
+        fixed += gain[k][perm[k]];
+    }
+    perm
+}
+
+/// An optimal maximum-weight assignment's value plus optimal duals:
+/// `row_dual[r] + col_dual[c] >= gain(r, c)` everywhere, with equality
+/// on every edge of every optimal assignment.
+struct Assignment {
+    value: u64,
+    row_dual: Vec<i64>,
+    col_dual: Vec<i64>,
+}
+
+/// The Hungarian algorithm with potentials, O(n³), over the `n × n`
+/// matrix `gain(row, col)`.
+fn hungarian(n: usize, gain: impl Fn(usize, usize) -> u64) -> Assignment {
     let inf = i64::MAX / 4;
     // Minimize the negated gains; u/v are row/column potentials, p[j] is
     // the row matched to column j (0 = unmatched), way[j] the previous
@@ -1459,7 +1496,7 @@ fn max_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
                 if used[j] {
                     continue;
                 }
-                let cur = -(gain[i0 - 1][j - 1] as i64) - u[i0] - v[j];
+                let cur = -(gain(i0 - 1, j - 1) as i64) - u[i0] - v[j];
                 if cur < minv[j] {
                     minv[j] = cur;
                     way[j] = j0;
@@ -1491,25 +1528,10 @@ fn max_assignment(gain: &[Vec<u64>]) -> Vec<usize> {
             }
         }
     }
-    let mut perm = vec![0usize; n];
-    for j in 1..=n {
-        if p[j] > 0 {
-            perm[p[j] - 1] = j - 1;
-        }
-    }
-    perm
-}
-
-/// Heap's algorithm over `slice[k..]`.
-fn permute(slice: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k == slice.len() {
-        visit(slice);
-        return;
-    }
-    for i in k..slice.len() {
-        slice.swap(k, i);
-        permute(slice, k + 1, visit);
-        slice.swap(k, i);
+    Assignment {
+        value: (1..=n).map(|j| gain(p[j] - 1, j - 1)).sum(),
+        row_dual: u[1..].iter().map(|x| -x).collect(),
+        col_dual: v[1..].iter().map(|x| -x).collect(),
     }
 }
 
@@ -2042,6 +2064,37 @@ mod tests {
         }
     }
 
+    /// Swap recursion over `slice[k..]`, starting from the identity: the
+    /// visiting order whose first optimum the MinComs mapping returns.
+    fn permute(slice: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
+        if k == slice.len() {
+            visit(slice);
+            return;
+        }
+        for i in k..slice.len() {
+            slice.swap(k, i);
+            permute(slice, k + 1, visit);
+            slice.swap(k, i);
+        }
+    }
+
+    /// The oracle: enumerate every permutation in `permute` order and keep
+    /// the first with the highest score (the identity when all score 0).
+    fn brute_force_mapping(gain: &[Vec<u64>]) -> Vec<usize> {
+        let n = gain.len();
+        let mut best: Vec<usize> = (0..n).collect();
+        let mut best_score = 0u64;
+        let mut ids: Vec<usize> = (0..n).collect();
+        permute(&mut ids, 0, &mut |p| {
+            let score: u64 = (0..n).map(|v| gain[v][p[v]]).sum();
+            if score > best_score {
+                best_score = score;
+                best = p.to_vec();
+            }
+        });
+        best
+    }
+
     /// Deterministic pseudo-random gain matrices for the assignment
     /// tests (SplitMix64).
     fn gain_matrix(n: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -2060,39 +2113,45 @@ mod tests {
 
     #[test]
     fn hungarian_assignment_matches_brute_force_optimum() {
-        for n in 2..=7 {
+        for n in 2..=8 {
             for seed in 0..4 {
-                let gain = gain_matrix(n, seed * 31 + n as u64);
-                let perm = max_assignment(&gain);
-                // A valid permutation.
-                let mut seen = vec![false; n];
-                for &p in &perm {
-                    assert!(!seen[p], "column {p} assigned twice");
-                    seen[p] = true;
+                let dense = gain_matrix(n, seed * 31 + n as u64);
+                // Three in four entries zero: many tied optima.
+                let sparse: Vec<Vec<u64>> = dense
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .map(|&g| if g % 4 == 0 { g } else { 0 })
+                            .collect()
+                    })
+                    .collect();
+                let zero = vec![vec![0u64; n]; n];
+                // Row v repeats row v / 2: swapping twin rows ties.
+                let duplicate: Vec<Vec<u64>> = (0..n).map(|v| dense[v / 2].clone()).collect();
+                for (kind, gain) in [
+                    ("dense", &dense),
+                    ("sparse", &sparse),
+                    ("zero", &zero),
+                    ("duplicate", &duplicate),
+                ] {
+                    let perm = best_mapping(gain);
+                    assert_eq!(perm, brute_force_mapping(gain), "n={n} seed={seed} {kind}");
                 }
-                let score: u64 = (0..n).map(|v| gain[v][perm[v]]).sum();
-                // Brute force over all permutations finds the optimum.
-                let mut best = 0u64;
-                let mut ids: Vec<usize> = (0..n).collect();
-                permute(&mut ids, 0, &mut |p| {
-                    best = best.max((0..n).map(|v| gain[v][p[v]]).sum());
-                });
-                assert_eq!(score, best, "n={n} seed={seed}");
             }
         }
     }
 
     #[test]
     fn large_machine_assignment_is_fast_and_valid() {
-        // 16! permutations are unenumerable; the Hungarian path must
-        // solve a 16-cluster matrix instantly and optimally (checked
-        // against the trivial diagonal-dominant construction).
+        // 16! permutations are unenumerable; the walk must solve a
+        // 16-cluster matrix instantly and optimally (checked against the
+        // trivial diagonal-dominant construction).
         let n = 16;
         let mut gain = gain_matrix(n, 7);
         for (v, row) in gain.iter_mut().enumerate() {
             row[(v + 3) % n] += 1_000_000; // planted optimum: shift by 3
         }
-        let perm = max_assignment(&gain);
+        let perm = best_mapping(&gain);
         for (v, &p) in perm.iter().enumerate() {
             assert_eq!(p, (v + 3) % n, "virtual cluster {v}");
         }

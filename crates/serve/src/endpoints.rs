@@ -720,7 +720,7 @@ fn table4_json(engine: &ServeEngine) -> Result<Json, ApiError> {
         .zip(cells.chunks(3))
         .map(|(suite, chunk)| {
             // The row arithmetic (including the ≥10%-slowdown loop
-            // selection) is shared with the `table4` bin.
+            // selection) is shared with `repro table4`.
             let row = distvliw_core::experiments::Table4Row::from_stats(
                 suite.name.clone(),
                 chunk[0],

@@ -8,15 +8,14 @@
 //! the first request), no TLS — the service binds loopback or sits
 //! behind a real proxy.
 //!
-//! The core parser, [`parse_request`], is *incremental*: it consumes a
-//! byte slice and either produces one complete request plus the number
-//! of bytes it spans, or reports that more bytes are needed. The
+//! The parser, [`parse_request`], is *incremental*: it consumes a byte
+//! slice and either produces one complete request plus the number of
+//! bytes it spans, or reports that more bytes are needed. The
 //! non-blocking event loop (`crate::event`) feeds it straight from its
-//! per-connection read buffers; the blocking [`read_request`] used by
-//! tests wraps the same parser over a `BufRead`, so the two paths
-//! cannot drift apart on framing decisions.
+//! per-connection read buffers and queues the bytes of
+//! [`render_response`] on their write side.
 
-use std::io::{self, BufRead, Write};
+use std::io::Write;
 
 /// Hard caps keeping a misbehaving client from ballooning memory.
 const MAX_HEADER_LINE: usize = 8 * 1024;
@@ -49,13 +48,6 @@ impl HttpError {
             status: 501,
             msg: msg.into(),
         }
-    }
-
-    /// Maps onto [`io::ErrorKind::InvalidData`] for the blocking
-    /// reader (which predates status-aware errors).
-    #[must_use]
-    pub fn into_io(self) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidData, self.msg)
     }
 }
 
@@ -337,52 +329,9 @@ pub fn parse_request(buf: &[u8]) -> Result<Parse, HttpError> {
     Ok(Parse::Complete(request, pos))
 }
 
-/// Reads the next request off a persistent connection (blocking path:
-/// tests and tooling). `Ok(None)` means the peer closed cleanly
-/// between requests. Framing decisions are delegated to
-/// [`parse_request`], so this cannot disagree with the event loop.
-///
-/// # Errors
-///
-/// I/O errors pass through; malformed framing surfaces as
-/// [`io::ErrorKind::InvalidData`].
-pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let chunk_len = {
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                // EOF: clean close only if nothing but blank lines
-                // arrived since the previous request.
-                return if buf.iter().all(|&b| b == b'\r' || b == b'\n') {
-                    Ok(None)
-                } else {
-                    Err(HttpError::bad("eof mid-request").into_io())
-                };
-            }
-            buf.extend_from_slice(chunk);
-            chunk.len()
-        };
-        match parse_request(&buf) {
-            Ok(Parse::Complete(request, used)) => {
-                // Only the bytes this request spans are consumed; the
-                // rest stays buffered for the next call (pipelining).
-                let already = buf.len() - chunk_len;
-                reader.consume(used - already);
-                return Ok(Some(request));
-            }
-            Ok(Parse::Partial) => reader.consume(chunk_len),
-            Err(e) => {
-                reader.consume(chunk_len);
-                return Err(e.into_io());
-            }
-        }
-    }
-}
-
 /// Renders the full wire bytes of `response`; `close` controls the
 /// `Connection` header. The event loop queues these bytes on the
-/// connection's write buffer; [`write_response`] writes them directly.
+/// connection's write buffer.
 #[must_use]
 pub fn render_response(response: &Response, close: bool) -> Vec<u8> {
     let mut out = Vec::with_capacity(response.body.len() + 160);
@@ -403,31 +352,25 @@ pub fn render_response(response: &Response, close: bool) -> Vec<u8> {
     out
 }
 
-/// Writes `response`; `close` controls the `Connection` header.
-///
-/// # Errors
-///
-/// Propagates write failures.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    response: &Response,
-    close: bool,
-) -> io::Result<()> {
-    writer.write_all(&render_response(response, close))?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+
+    /// Parses the one complete request `raw` holds, which must span all
+    /// of it.
+    fn parse_one(raw: &[u8]) -> Request {
+        match parse_request(raw) {
+            Ok(Parse::Complete(req, used)) => {
+                assert_eq!(used, raw.len(), "request must span the buffer");
+                req
+            }
+            other => panic!("expected one complete request, got {other:?}"),
+        }
+    }
 
     #[test]
     fn parses_get_with_query_and_headers() {
-        let raw = b"GET /fig6?x=1 HTTP/1.1\r\nHost: a\r\nConnection: close\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..]))
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"GET /fig6?x=1 HTTP/1.1\r\nHost: a\r\nConnection: close\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/fig6");
         assert_eq!(req.query, "x=1");
@@ -443,14 +386,18 @@ mod tests {
     fn parses_post_body_and_next_request() {
         let raw =
             b"POST /matrix HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"GET /healthz HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        let first = read_request(&mut reader).unwrap().unwrap();
+        let Ok(Parse::Complete(first, used)) = parse_request(raw) else {
+            panic!("first request incomplete");
+        };
         assert_eq!(first.method, "POST");
         assert_eq!(first.body, b"{\"a\"");
         assert!(!first.wants_close());
-        let second = read_request(&mut reader).unwrap().unwrap();
+        // Only the bytes the first request spans are consumed; the rest
+        // is the pipelined second request.
+        let second = parse_one(&raw[used..]);
         assert_eq!(second.path, "/healthz");
-        assert!(read_request(&mut reader).unwrap().is_none());
+        // Blank lines alone are not a request.
+        assert!(matches!(parse_request(b"\r\n\r\n"), Ok(Parse::Partial)));
     }
 
     #[test]
@@ -461,8 +408,8 @@ mod tests {
             &b"GET / HTTP/1.1\r\nbadheader\r\n\r\n"[..],
             &b"GET / HTTP/1.1\r\nContent-Length: wat\r\n\r\n"[..],
         ] {
-            let err = read_request(&mut BufReader::new(raw)).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{raw:?}");
+            let err = parse_request(raw).unwrap_err();
+            assert_eq!(err.status, 400, "{raw:?}");
         }
     }
 
@@ -472,8 +419,9 @@ mod tests {
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        let err = read_request(&mut BufReader::new(raw.as_bytes())).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = parse_request(raw.as_bytes()).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert_eq!(err.msg, "body too large");
     }
 
     #[test]
@@ -481,24 +429,15 @@ mod tests {
         // A 1.0 client without `Connection: keep-alive` must be closed
         // after the exchange — answering `keep-alive` left it hanging
         // until the idle reap.
-        let raw = b"GET / HTTP/1.0\r\nHost: a\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..]))
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"GET / HTTP/1.0\r\nHost: a\r\n\r\n");
         assert_eq!(req.minor, 0);
         assert!(req.wants_close());
 
-        let raw = b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..]))
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
         assert!(!req.wants_close(), "explicit 1.0 keep-alive persists");
 
         // HTTP/1.1 still defaults to persistent.
-        let raw = b"GET / HTTP/1.1\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&raw[..]))
-            .unwrap()
-            .unwrap();
+        let req = parse_one(b"GET / HTTP/1.1\r\n\r\n");
         assert!(!req.wants_close());
     }
 
@@ -515,9 +454,7 @@ mod tests {
             ("closed", false), // not the `close` token
         ] {
             let raw = format!("GET / HTTP/1.1\r\nConnection: {value}\r\n\r\n");
-            let req = read_request(&mut BufReader::new(raw.as_bytes()))
-                .unwrap()
-                .unwrap();
+            let req = parse_one(raw.as_bytes());
             assert_eq!(req.wants_close(), close, "Connection: {value:?}");
         }
     }
@@ -528,14 +465,6 @@ mod tests {
             b"POST /matrix HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nwat!\r\n0\r\n\r\n";
         let err = parse_request(&raw[..]).unwrap_err();
         assert_eq!(err.status, 501);
-        // The blocking reader surfaces it as InvalidData like any
-        // other framing failure.
-        assert_eq!(
-            read_request(&mut BufReader::new(&raw[..]))
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::InvalidData
-        );
         // Ordinary requests with a TE header and no body are equally
         // rejected — the header itself signals unsupported framing.
         let raw = b"GET / HTTP/1.1\r\nTransfer-Encoding: gzip, chunked\r\n\r\n";
@@ -574,15 +503,16 @@ mod tests {
     fn oversized_header_lines_fail_even_unterminated() {
         let mut raw = b"GET / HTTP/1.1\r\nx: ".to_vec();
         raw.extend(std::iter::repeat_n(b'a', MAX_HEADER_LINE + 2));
-        assert!(parse_request(&raw).is_err(), "unterminated overlong line");
+        let err = parse_request(&raw).unwrap_err();
+        assert_eq!(err.status, 400, "unterminated overlong line");
         raw.extend_from_slice(b"\r\n\r\n");
-        assert!(parse_request(&raw).is_err(), "terminated overlong line");
+        let err = parse_request(&raw).unwrap_err();
+        assert_eq!(err.status, 400, "terminated overlong line");
     }
 
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        write_response(&mut out, &Response::json(200, "{}".to_string()), true).unwrap();
+        let out = render_response(&Response::json(200, "{}".to_string()), true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));

@@ -586,79 +586,6 @@ fn stats_reports_uptime_build_and_counters() {
 }
 
 #[test]
-fn connection_cap_answers_503_with_retry_after_and_bounded_threads() {
-    let (base, handle) = spawn_server_with(EventConfig {
-        workers: 2,
-        max_conns: 4,
-        queue_depth: 8,
-    });
-
-    // Fill the connection table with admitted keep-alive clients; a
-    // completed request on each proves the server has accepted all
-    // four (connect alone only reaches the backlog).
-    let mut admitted: Vec<Client> = (0..4).map(|_| Client::connect(&base).unwrap()).collect();
-    let reference = admitted[0].get("/table3").unwrap();
-    assert_eq!(reference.status, 200);
-    for conn in admitted.iter_mut().skip(1) {
-        let resp = conn.get("/table3").unwrap();
-        assert_eq!(resp.status, 200);
-    }
-
-    let threads_before = distvliw_obs::process_threads();
-
-    // Every connection beyond the cap is answered an immediate 503
-    // with retry-after and closed — without reading a request.
-    let host = client::host_of(&base);
-    for _ in 0..8 {
-        let mut raw = TcpStream::connect(&host).unwrap();
-        let mut bytes = Vec::new();
-        raw.read_to_end(&mut bytes).unwrap();
-        let text = String::from_utf8_lossy(&bytes);
-        assert!(
-            text.starts_with("HTTP/1.1 503 "),
-            "overflow connection must be answered 503, got: {text}"
-        );
-        assert!(text.contains("retry-after: 1"), "{text}");
-        assert!(text.contains("connection: close"), "{text}");
-    }
-
-    // The admitted connections are untouched by the overflow and keep
-    // serving byte-identical responses.
-    for conn in &mut admitted {
-        let resp = conn.get("/table3").unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.headers, reference.headers);
-        assert_eq!(resp.body, reference.body);
-    }
-
-    // No thread-per-connection: 8 overflow + 4 admitted connections
-    // must not have grown the process thread budget (loop + workers
-    // are fixed at startup; a small tolerance absorbs unrelated churn
-    // from tests running in parallel in this process).
-    let threads_after = distvliw_obs::process_threads();
-    assert!(
-        threads_after <= threads_before + 4,
-        "thread count grew with connections: {threads_before} -> {threads_after}"
-    );
-
-    // Free the table before /shutdown needs a fresh connection, and
-    // give the loop a beat to observe the closes.
-    drop(admitted);
-    let mut ok = false;
-    for _ in 0..100 {
-        if let Ok(resp) = client::post(&base, "/shutdown", "") {
-            if resp.status == 200 {
-                ok = true;
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert!(ok, "shutdown must be admitted once the table drains");
-    handle.join().expect("server thread");
-}
-
-#[test]
 fn queue_overflow_is_answered_503_and_the_connection_survives() {
     let (base, handle) = spawn_server_with(EventConfig {
         workers: 1,
