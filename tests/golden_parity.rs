@@ -5,10 +5,13 @@
 //! kernel, every coherence solution and both cluster-assignment
 //! heuristics, the produced schedule (II, span, per-op cluster/cycle,
 //! assumed latency classes and copy operations) has to stay **byte
-//! identical** to the snapshot in `tests/golden/schedules.txt`.
+//! identical** to the snapshot in `tests/golden/schedules.txt`. The
+//! search effort behind each schedule (IIs tried, ejections, placement
+//! attempts) is pinned in the `parity` section of
+//! `tests/golden/search_effort.txt`.
 //!
-//! Regenerate the snapshot (only when a change is *meant* to alter
-//! schedules) with:
+//! Regenerate the snapshots (only when a change is *meant* to alter
+//! schedules or search effort) with:
 //!
 //! ```text
 //! GOLDEN_UPDATE=1 cargo test --test golden_parity
@@ -23,7 +26,7 @@ use distvliw::ir::LoopKernel;
 use distvliw::sched::{Heuristic, ModuloScheduler, Schedule};
 
 mod common;
-use common::schedule_fingerprint;
+use common::{check_search_effort, render_effort, schedule_fingerprint};
 
 const GOLDEN_PATH: &str = "tests/golden/schedules.txt";
 
@@ -47,12 +50,17 @@ fn describe(s: &Schedule) -> String {
     text
 }
 
+/// One configuration: its snapshot line, its schedule (for
+/// diagnostics) and its search-effort line.
+type Entry = (String, Schedule, String);
+
 /// Schedules `kernel` the same way the pipeline does for each solution,
-/// and appends one snapshot line per configuration.
+/// and appends one snapshot entry per configuration.
 fn snapshot_kernel(
     machine: &MachineConfig,
+    suite: &str,
     kernel: &LoopKernel,
-    out: &mut Vec<(String, Schedule)>,
+    out: &mut Vec<Entry>,
 ) {
     let prefs = preferred_clusters(kernel, machine.n_clusters, |a| machine.home_cluster(a));
     for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
@@ -71,30 +79,36 @@ fn snapshot_kernel(
                 }
             };
             for relax in [true, false] {
-                let schedule = ModuloScheduler::new(machine)
+                let (schedule, stats) = ModuloScheduler::new(machine)
                     .with_latency_relaxation(relax)
-                    .schedule(&kernel.ddg, &constraints, &prefs, heuristic)
+                    .schedule_with_stats(&kernel.ddg, &constraints, &prefs, heuristic)
                     .expect("bundled kernels schedule");
+                let config = format!("{solution} {heuristic} relax={relax}");
+                let effort = render_effort(
+                    "parity",
+                    &format!("{suite}/{} {config}", kernel.name),
+                    &stats,
+                );
                 let key = format!(
-                    "{} {solution} {heuristic} relax={relax} II={} span={} copies={} fp={:016x}",
+                    "{} {config} II={} span={} copies={} fp={:016x}",
                     kernel.name,
                     schedule.ii,
                     schedule.span,
                     schedule.copies.len(),
                     schedule_fingerprint(&schedule)
                 );
-                out.push((key, schedule));
+                out.push((key, schedule, effort));
             }
         }
     }
 }
 
-fn current_snapshot() -> Vec<(String, Schedule)> {
+fn current_snapshot() -> Vec<Entry> {
     let mut lines = Vec::new();
     for suite in distvliw::mediabench::suites() {
         let machine = MachineConfig::paper_baseline().with_interleave(suite.interleave_bytes);
         for kernel in &suite.kernels {
-            snapshot_kernel(&machine, kernel, &mut lines);
+            snapshot_kernel(&machine, &suite.name, kernel, &mut lines);
         }
     }
     lines
@@ -103,12 +117,14 @@ fn current_snapshot() -> Vec<(String, Schedule)> {
 #[test]
 fn schedules_match_golden_snapshot() {
     let snapshot = current_snapshot();
-    let rendered: String = snapshot.iter().map(|(k, _)| format!("{k}\n")).collect();
+    let rendered: String = snapshot.iter().map(|(k, ..)| format!("{k}\n")).collect();
+    let effort: Vec<String> = snapshot.iter().map(|(.., e)| e.clone()).collect();
 
     if std::env::var("GOLDEN_UPDATE").is_ok() {
         std::fs::create_dir_all("tests/golden").expect("create golden dir");
         std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
         eprintln!("updated {GOLDEN_PATH} with {} entries", snapshot.len());
+        check_search_effort("parity", &effort);
         return;
     }
 
@@ -122,7 +138,7 @@ fn schedules_match_golden_snapshot() {
         golden_lines.len(),
         snapshot.len()
     );
-    for ((key, schedule), want) in snapshot.iter().zip(&golden_lines) {
+    for ((key, schedule, _), want) in snapshot.iter().zip(&golden_lines) {
         assert_eq!(
             key.as_str(),
             *want,
@@ -130,4 +146,5 @@ fn schedules_match_golden_snapshot() {
             describe(schedule)
         );
     }
+    check_search_effort("parity", &effort);
 }

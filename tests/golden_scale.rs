@@ -8,9 +8,12 @@
 //! bundled recorded traces — so future refactors cannot silently change
 //! large-machine scheduling or simulated behaviour. Each snapshot line
 //! pins the schedule (II, span, copy count, a fingerprint of every
-//! placement) *and* the simulated statistics.
+//! placement) *and* the simulated statistics. The search effort
+//! behind each schedule is pinned in the `scale` section of
+//! `tests/golden/search_effort.txt`.
 //!
-//! Regenerate (only when a change is *meant* to alter behaviour) with:
+//! Regenerate (only when a change is *meant* to alter behaviour or
+//! search effort) with:
 //!
 //! ```text
 //! GOLDEN_UPDATE=1 cargo test --test golden_scale
@@ -25,7 +28,7 @@ use distvliw::sched::{Heuristic, ModuloScheduler};
 use distvliw::sim::{simulate_kernel, SimOptions};
 
 mod common;
-use common::{render_stats, schedule_fingerprint};
+use common::{check_search_effort, render_effort, render_stats, schedule_fingerprint};
 
 const GOLDEN_PATH: &str = "tests/golden/scale_stats.txt";
 
@@ -45,13 +48,14 @@ fn pinned_suites() -> Vec<Suite> {
 }
 
 /// Compiles and simulates `kernel` the same way the pipeline does,
-/// appending one line per (solution, heuristic) configuration.
+/// appending one snapshot line and one search-effort line per
+/// (solution, heuristic) configuration.
 fn snapshot_kernel(
     n_clusters: usize,
     machine: &MachineConfig,
     suite: &str,
     kernel: &LoopKernel,
-    out: &mut Vec<String>,
+    out: &mut Vec<(String, String)>,
 ) {
     let prefs = preferred_clusters(kernel, machine.n_clusters, |a| machine.home_cluster(a));
     for heuristic in [Heuristic::PrefClus, Heuristic::MinComs] {
@@ -69,24 +73,28 @@ fn snapshot_kernel(
                     SchedConstraints::for_ddgt(&report)
                 }
             };
-            let schedule = ModuloScheduler::new(machine)
-                .schedule(&kernel.ddg, &constraints, &prefs, heuristic)
+            let (schedule, effort) = ModuloScheduler::new(machine)
+                .schedule_with_stats(&kernel.ddg, &constraints, &prefs, heuristic)
                 .expect("pinned kernels schedule at every scale");
             let stats = simulate_kernel(machine, &kernel, &schedule, SimOptions::default());
-            out.push(format!(
-                "n={n_clusters} {suite}/{} {solution} {heuristic} II={} span={} copies={} fp={:016x} {}",
-                kernel.name,
+            let config = format!(
+                "n={n_clusters} {suite}/{} {solution} {heuristic}",
+                kernel.name
+            );
+            let line = format!(
+                "{config} II={} span={} copies={} fp={:016x} {}",
                 schedule.ii,
                 schedule.span,
                 schedule.copies.len(),
                 schedule_fingerprint(&schedule),
                 render_stats(&stats)
-            ));
+            );
+            out.push((line, render_effort("scale", &config, &effort)));
         }
     }
 }
 
-fn current_snapshot() -> Vec<String> {
+fn current_snapshot() -> Vec<(String, String)> {
     let base = MachineConfig::paper_baseline();
     let mut lines = Vec::new();
     for n_clusters in CLUSTER_COUNTS {
@@ -104,12 +112,14 @@ fn current_snapshot() -> Vec<String> {
 #[test]
 fn large_machine_behaviour_matches_golden_snapshot() {
     let snapshot = current_snapshot();
-    let rendered: String = snapshot.iter().map(|l| format!("{l}\n")).collect();
+    let rendered: String = snapshot.iter().map(|(l, _)| format!("{l}\n")).collect();
+    let effort: Vec<String> = snapshot.iter().map(|(_, e)| e.clone()).collect();
 
     if std::env::var("GOLDEN_UPDATE").is_ok() {
         std::fs::create_dir_all("tests/golden").expect("create golden dir");
         std::fs::write(GOLDEN_PATH, &rendered).expect("write golden file");
         eprintln!("updated {GOLDEN_PATH} with {} entries", snapshot.len());
+        check_search_effort("scale", &effort);
         return;
     }
 
@@ -123,11 +133,12 @@ fn large_machine_behaviour_matches_golden_snapshot() {
         golden_lines.len(),
         snapshot.len()
     );
-    for (line, want) in snapshot.iter().zip(&golden_lines) {
+    for ((line, _), want) in snapshot.iter().zip(&golden_lines) {
         assert_eq!(
             line.as_str(),
             *want,
             "large-machine behaviour diverged from golden snapshot.\n current: {line}\n  golden: {want}"
         );
     }
+    check_search_effort("scale", &effort);
 }
