@@ -186,8 +186,12 @@ pub struct SchedStats {
     pub mii: u32,
     /// Initiation intervals attempted (including the successful one).
     pub iis_tried: u32,
-    /// Placement attempts: every candidate `(cluster, cycle)` commit
-    /// trial across the whole search, both phases.
+    /// Placement attempts: every `(cluster, cycle)` commit trial
+    /// actually made across the whole search, both phases. Starts the
+    /// scan skips are not attempts: after an incoming copy ready at `r`
+    /// finds its first free bus slot `f` (searching `[r, r + II]`) past
+    /// its deadline, the starts `t < f + bus_lat − II·distance` are
+    /// skipped, and without any `f` the rest of that cluster is.
     pub placement_attempts: u64,
     /// Operations evicted by the ejection scheduler across the search.
     pub ejections: u64,

@@ -28,7 +28,12 @@
 //!   is a flat `NodeId`-indexed vector — no tree maps on the hot path;
 //! * a candidate placement reserves resources directly in the [`Mrt`] and
 //!   *rolls back* through its reservation journal on failure instead of
-//!   cloning the table per trial;
+//!   cloning the table per trial; the live-range journal and the planned
+//!   copies live in the placer and are reused by every trial;
+//! * the start-cycle scan skips the starts a failed trial proves
+//!   infeasible: when an incoming copy finds no free bus slot before its
+//!   deadline, the scan resumes at the first start whose deadline
+//!   reaches the first free slot (see `Placer::commit`);
 //! * the priority order is computed once per latency assignment (it does
 //!   not depend on the II) and shared by the whole II search;
 //! * one [`RecMiiSolver`] instance carries its scratch buffers across
@@ -504,6 +509,7 @@ impl<'m> ModuloScheduler<'m> {
             copy_map: CopyTable::new(ctx.ddg.node_count(), self.machine.n_clusters),
             group_cluster: ctx.constraints.group_target.clone(),
             planned: Vec::new(),
+            range_log: Vec::new(),
             ranges: vec![NO_RANGE; ctx.ddg.node_count() * self.machine.n_clusters],
             stage_regs: vec![0; self.machine.n_clusters],
             counters,
@@ -625,6 +631,22 @@ struct PlannedCopy {
 /// `(node × cluster)` range table (costs zero registers).
 const NO_RANGE: (i64, i64) = (i64::MAX, i64::MIN);
 
+/// A journaled live-range write: the flat range-table index and the
+/// value it overwrote.
+type RangeLog = Vec<(usize, (i64, i64))>;
+
+/// Outcome of one commit trial at `(cluster, start)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trial {
+    /// The op is placed.
+    Placed,
+    /// The trial failed; every start of this cluster before the given
+    /// one fails as well.
+    RetryFrom(i64),
+    /// The trial failed, and so does every later start of this cluster.
+    Exhausted,
+}
+
 /// The mutable state of one placement attempt at a fixed II.
 struct Placer<'a> {
     machine: &'a MachineConfig,
@@ -639,6 +661,9 @@ struct Placer<'a> {
     group_cluster: BTreeMap<u32, usize>,
     /// Reused across commit attempts (cleared each time).
     planned: Vec<PlannedCopy>,
+    /// Live-range journal of the in-flight commit, reused across
+    /// commit attempts (cleared each time).
+    range_log: RangeLog,
     /// Live range of each value per cluster (`node × n_clusters +
     /// cluster`, [`NO_RANGE`] when absent) — the incremental state of
     /// the stage-aware pressure model.
@@ -662,13 +687,16 @@ impl Placer<'_> {
             let mut t = est;
             while t <= hi {
                 let start = u32::try_from(t).expect("start bounded");
-                if self.commit(n, c, start) {
-                    if let Some(&g) = self.ctx.constraints.colocate.get(&n) {
-                        self.group_cluster.entry(g).or_insert(c);
+                match self.commit(n, c, start) {
+                    Trial::Placed => {
+                        if let Some(&g) = self.ctx.constraints.colocate.get(&n) {
+                            self.group_cluster.entry(g).or_insert(c);
+                        }
+                        return true;
                     }
-                    return true;
+                    Trial::RetryFrom(next) => t = next,
+                    Trial::Exhausted => break,
                 }
-                t += 1;
             }
         }
         false
@@ -710,12 +738,16 @@ impl Placer<'_> {
                 }
             }
         }
-        let mut order: Vec<usize> = (0..self.machine.n_clusters).collect();
-        order.sort_by_key(|&c| {
-            let comms = rf_neighbors.iter().filter(|&&x| x != c).count();
-            (comms, self.mrt.cluster_load(c), c)
-        });
-        order
+        // One key per cluster, computed once; the keys end in `c`, so
+        // they are unique and an unstable sort gives the same order.
+        let mut keys: Vec<(usize, u32, usize)> = (0..self.machine.n_clusters)
+            .map(|c| {
+                let comms = rf_neighbors.iter().filter(|&&x| x != c).count();
+                (comms, self.mrt.cluster_load(c), c)
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|(.., c)| c).collect()
     }
 
     /// Earliest start for `n` in cluster `c` from placed predecessors
@@ -782,7 +814,18 @@ impl Placer<'_> {
     /// and plans every required inter-cluster copy, reserving buses
     /// directly in the reservation table. On failure the journal rolls
     /// every touched cell back — nothing is cloned either way.
-    fn commit(&mut self, n: NodeId, c: usize, start: u32) -> bool {
+    ///
+    /// A failed trial also tells the start-cycle scan where to resume.
+    /// An incoming copy `p → n` of distance `d` is ready at `r = s_p +
+    /// lat` and must launch by `deadline(start) = start − bus_lat + II·d`.
+    /// Let `f` be the first bus-free launch in `[r, r + II]`. The copy
+    /// fits exactly when `f ≤ deadline(start)`, i.e. when `start ≥ f +
+    /// bus_lat − II·d`. The earlier incoming copies of this commit only
+    /// see their windows widen as `start` grows, so they keep their slots
+    /// and `f` stays the same for every later start: the scan may jump
+    /// straight to `f + bus_lat − II·d`, or leave the cluster when there
+    /// is no `f`. Every other failure resumes at `start + 1`.
+    fn commit(&mut self, n: NodeId, c: usize, start: u32) -> Trial {
         // Both are `Copy` references outliving `self`: iterating the graph
         // below holds no borrow of `self`, so the reservation table and
         // side tables stay freely mutable inside the loops.
@@ -790,10 +833,11 @@ impl Placer<'_> {
         let dense = self.ctx.dense;
         let load_lat = self.load_lat;
         self.counters.attempts += 1;
+        let next = Trial::RetryFrom(i64::from(start) + 1);
         let class = ddg.node(n).kind.fu_class();
         if let Some(class) = class {
             if !self.mrt.fu_free(c, class, start) {
-                return false;
+                return next;
             }
         }
 
@@ -821,19 +865,18 @@ impl Placer<'_> {
             {
                 continue;
             }
-            let ready = i64::from(ps) + i64::from(d.latency(load_lat));
-            let deadline = i64::from(start) - bus_lat_i + ii_i * i64::from(d.distance);
-            if deadline < ready || ready < 0 {
+            // The first free launch does not depend on `start`; the
+            // deadline `start + reach` does (see the skip rule above).
+            let ready = ps + d.latency(load_lat);
+            let reach = ii_i * i64::from(d.distance) - bus_lat_i;
+            let Some(slot) = self.mrt.find_bus_slot(ready, ready.saturating_add(self.ii)) else {
                 self.mrt.rollback(mark);
-                return false;
-            }
-            let Some(slot) = self
-                .mrt
-                .find_bus_slot(ready as u32, deadline.min(ready + ii_i) as u32)
-            else {
-                self.mrt.rollback(mark);
-                return false;
+                return Trial::Exhausted;
             };
+            if i64::from(slot) > i64::from(start) + reach {
+                self.mrt.rollback(mark);
+                return Trial::RetryFrom(i64::from(slot) - reach);
+            }
             self.mrt.reserve_bus(slot);
             self.planned.push(PlannedCopy {
                 producer: d.src,
@@ -860,14 +903,14 @@ impl Placer<'_> {
             let deadline = i64::from(ss) - bus_lat_i + ii_i * i64::from(d.distance);
             if deadline < ready || ready < 0 {
                 self.mrt.rollback(mark);
-                return false;
+                return next;
             }
             let Some(slot) = self
                 .mrt
                 .find_bus_slot(ready as u32, deadline.min(ready + ii_i) as u32)
             else {
                 self.mrt.rollback(mark);
-                return false;
+                return next;
             };
             self.mrt.reserve_bus(slot);
             self.planned.push(PlannedCopy {
@@ -889,16 +932,19 @@ impl Placer<'_> {
         // the one that persists on acceptance — only the pressure-reject
         // path removes it.
         self.placed.insert(n, (c, start));
-        let mut rlog: Vec<(usize, (i64, i64))> = Vec::new();
+        let mut rlog = std::mem::take(&mut self.range_log);
+        rlog.clear();
         self.apply_pressure(n, c, start, &mut rlog);
         let cap = u64::from(self.machine.regs_per_cluster as u32);
         let peak = self.stage_regs.iter().copied().max().unwrap_or(0);
         if peak > cap {
             self.undo_ranges(&mut rlog);
+            self.range_log = rlog;
             self.placed.remove(n);
             self.mrt.rollback(mark);
-            return false;
+            return next;
         }
+        self.range_log = rlog;
         self.counters.max_pressure = self
             .counters
             .max_pressure
@@ -918,7 +964,7 @@ impl Placer<'_> {
                 start: p.start,
             });
         }
-        true
+        Trial::Placed
     }
 
     /// Cycles after issue at which `n`'s result register is written —
@@ -958,13 +1004,7 @@ impl Placer<'_> {
 
     /// Writes one live-range cell, keeping the per-cluster demand sums
     /// in step and journaling the previous value into `log`.
-    fn set_range(
-        &mut self,
-        node: NodeId,
-        cluster: usize,
-        new: (i64, i64),
-        log: &mut Vec<(usize, (i64, i64))>,
-    ) {
+    fn set_range(&mut self, node: NodeId, cluster: usize, new: (i64, i64), log: &mut RangeLog) {
         let idx = node.index() * self.machine.n_clusters + cluster;
         let old = self.ranges[idx];
         if old == new {
@@ -985,7 +1025,7 @@ impl Placer<'_> {
         cluster: usize,
         def: i64,
         last: i64,
-        log: &mut Vec<(usize, (i64, i64))>,
+        log: &mut RangeLog,
     ) {
         let idx = node.index() * self.machine.n_clusters + cluster;
         let (d0, l0) = self.ranges[idx];
@@ -999,13 +1039,7 @@ impl Placer<'_> {
 
     /// Applies the live-range updates of committing `n` at `(c, start)`
     /// (planned copies included) to the incremental pressure state.
-    fn apply_pressure(
-        &mut self,
-        n: NodeId,
-        c: usize,
-        start: u32,
-        log: &mut Vec<(usize, (i64, i64))>,
-    ) {
+    fn apply_pressure(&mut self, n: NodeId, c: usize, start: u32, log: &mut RangeLog) {
         let dense = self.ctx.dense;
         let ii = i64::from(self.ii);
         let bus_lat = i64::from(self.bus_lat);
@@ -1054,12 +1088,7 @@ impl Placer<'_> {
     /// Recomputes the live range of `p`'s value in `cluster` from
     /// scratch (after an eviction shrank or removed contributions),
     /// journaling the overwritten cell.
-    fn recompute_value_range(
-        &mut self,
-        p: NodeId,
-        cluster: usize,
-        log: &mut Vec<(usize, (i64, i64))>,
-    ) {
+    fn recompute_value_range(&mut self, p: NodeId, cluster: usize, log: &mut RangeLog) {
         let ctx = self.pressure_ctx();
         let lookup = |q: NodeId, k: usize| self.copy_map.get(q, k);
         let new = crate::pressure::value_range(&ctx, &self.placed, &lookup, p, cluster)
@@ -1068,7 +1097,7 @@ impl Placer<'_> {
     }
 
     /// Undoes journaled live-range writes, newest first.
-    fn undo_ranges(&mut self, log: &mut Vec<(usize, (i64, i64))>) {
+    fn undo_ranges(&mut self, log: &mut RangeLog) {
         while let Some((idx, old)) = log.pop() {
             let cluster = idx % self.machine.n_clusters;
             let cur = self.ranges[idx];
@@ -1102,7 +1131,7 @@ impl Placer<'_> {
             let mark = self.mrt.checkpoint();
             let mut rec = EvictionRecord::default();
             self.evict_conflicts(n, c, start, &mut rec);
-            if self.commit(n, c, start) {
+            if self.commit(n, c, start) == Trial::Placed {
                 if let Some(&g) = self.ctx.constraints.colocate.get(&n) {
                     self.group_cluster.entry(g).or_insert(c);
                 }

@@ -4,10 +4,10 @@
 
 use std::collections::BTreeMap;
 
-use distvliw_arch::MachineConfig;
+use distvliw_arch::{BusConfig, MachineConfig};
 use distvliw_coherence::SchedConstraints;
 use distvliw_ir::{Ddg, DdgBuilder, DepKind, NodeId, NodeMap, OpKind, PrefInfo, PrefMap, Width};
-use distvliw_sched::{Heuristic, ModuloScheduler, Schedule};
+use distvliw_sched::{Heuristic, ModuloScheduler, Mrt, Schedule};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Ddg> {
@@ -200,5 +200,68 @@ proptest! {
             .schedule(&ddg, &SchedConstraints::none(), &PrefMap::new(), Heuristic::MinComs)
             .unwrap();
         prop_assert!(s.ii >= bound, "II {} below MII {}", s.ii, bound);
+    }
+}
+
+/// A reservation table at `ii` on `buses` register buses of latency
+/// `bus_lat`, with a transfer reserved at every listed cycle that still
+/// has room.
+fn bus_table(ii: u32, bus_lat: u32, buses: usize, transfers: &[u8]) -> Mrt {
+    let m = machine().with_reg_buses(BusConfig {
+        count: buses,
+        latency: bus_lat,
+    });
+    let mut mrt = Mrt::new(&m, ii);
+    for &cycle in transfers {
+        if mrt.bus_free(u32::from(cycle)) {
+            mrt.reserve_bus(u32::from(cycle));
+        }
+    }
+    mrt
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The placer's start-cycle skip rule. An incoming copy ready at
+    /// `ready` fits a consumer start `t` when a bus slot is free in
+    /// `[ready, min(deadline(t), ready + II)]`, with `deadline(t) = t −
+    /// bus_lat + II·dist`. With `f` the first free slot in `[ready,
+    /// ready + II]`, that holds exactly for `t ≥ f + bus_lat − II·dist`,
+    /// never without `f`, and the slot found is then always `f` — so a
+    /// failed start may resume the scan at that bound.
+    #[test]
+    fn bus_skip_bound_is_exact(
+        ii in 1u32..=48,
+        bus_lat in 1u32..=4,
+        buses in 1usize..=4,
+        transfers in proptest::collection::vec(any::<u8>(), 0..96),
+        ready in 0u32..64,
+        dist in 0u32..=3,
+    ) {
+        let mrt = bus_table(ii, bus_lat, buses, &transfers);
+        let first = mrt.find_bus_slot(ready, ready + ii);
+        let (ii, bus_lat, ready, dist) =
+            (i64::from(ii), i64::from(bus_lat), i64::from(ready), i64::from(dist));
+        let horizon = ready + ii + bus_lat + 2;
+        for t in 0..=horizon {
+            let deadline = t - bus_lat + ii * dist;
+            let slot = if deadline < ready {
+                None
+            } else {
+                let to = u32::try_from(deadline.min(ready + ii)).unwrap();
+                mrt.find_bus_slot(u32::try_from(ready).unwrap(), to)
+            };
+            match first {
+                None => prop_assert_eq!(slot, None, "t={} fits without a free slot", t),
+                Some(f) => {
+                    let bound = i64::from(f) + bus_lat - ii * dist;
+                    prop_assert_eq!(slot.is_some(), t >= bound, "t={} bound={}", t, bound);
+                    if let Some(s) = slot {
+                        prop_assert_eq!(s, f, "t={} found a slot other than f", t);
+                    }
+                }
+            }
+        }
     }
 }

@@ -291,6 +291,13 @@ impl ServeEngine {
 
     /// Runs one cell through cache → single-flight → pipeline.
     pub fn run_cell(&self, spec: CellSpec<'_>) -> CellResult {
+        self.lookup(spec)
+            .unwrap_or_else(|key| self.compute(spec, &key))
+    }
+
+    /// The counted cache lookup of one cell: its cached value, or its
+    /// key on a miss.
+    fn lookup(&self, spec: CellSpec<'_>) -> Result<CellResult, CacheKey> {
         // Specs normally borrow a bundled suite, whose fingerprint was
         // precomputed; a foreign suite (e.g. re-interleaved for a
         // /matrix override) digests on the spot.
@@ -309,15 +316,14 @@ impl ServeEngine {
             spec.solution,
             spec.heuristic,
         );
-        let cached = {
-            let mut span = distvliw_obs::Span::enter("cache_lookup");
-            let value = self.cache.lock().expect("cache lock").get(&key);
-            span.field_str("outcome", if value.is_some() { "hit" } else { "miss" });
-            value
-        };
-        if let Some(value) = cached {
-            return value;
-        }
+        let mut span = distvliw_obs::Span::enter("cache_lookup");
+        let value = self.cache.lock().expect("cache lock").get(&key);
+        span.field_str("outcome", if value.is_some() { "hit" } else { "miss" });
+        value.ok_or(key)
+    }
+
+    /// The miss path of one cell: single-flight → pipeline → cache.
+    fn compute(&self, spec: CellSpec<'_>, key: &CacheKey) -> CellResult {
         let flight_start = Instant::now();
         let (value, leader) = self.flight.work(key.bytes(), || {
             // Double-check under the flight: a requester that missed the
@@ -325,7 +331,7 @@ impl ServeEngine {
             // retired its flight must find the published entry, not
             // recompute it. Uncounted — this request's lookup was
             // already tallied as the miss above.
-            if let Some(value) = self.cache.lock().expect("cache lock").get_uncounted(&key) {
+            if let Some(value) = self.cache.lock().expect("cache lock").get_uncounted(key) {
                 return value;
             }
             let pipeline = Pipeline::new(spec.machine.clone())
@@ -347,7 +353,7 @@ impl ServeEngine {
             let evicted = cache.insert(key.clone(), result.clone());
             // Persist under the cache lock (cache → persist ordering),
             // so the log mirrors insertion order exactly.
-            self.persist_insert(&cache, &key, &result, evicted.is_some());
+            self.persist_insert(&cache, key, &result, evicted.is_some());
             drop(cache);
             drop(persist_span);
             result
@@ -366,14 +372,27 @@ impl ServeEngine {
         value
     }
 
-    /// Runs a batch of cells, sharded across worker threads (results in
-    /// input order). This is the serving-side analogue of
-    /// `Pipeline::run_matrix`: each cell lands on a worker, and
-    /// identical cells — within this batch or across concurrent
-    /// requests — are computed once.
+    /// Runs a batch of cells (results in input order). This is the
+    /// serving-side analogue of `Pipeline::run_matrix`: every cell is
+    /// looked up in the cache on the calling thread, only the misses
+    /// are sharded across worker threads — an all-hit batch spawns
+    /// none — and identical cells, within this batch or across
+    /// concurrent requests, are computed once.
     #[must_use]
     pub fn run_cells(&self, specs: &[CellSpec<'_>]) -> Vec<CellResult> {
-        par::par_map(specs, |spec| self.run_cell(*spec))
+        let probed: Vec<Result<CellResult, CacheKey>> =
+            specs.iter().map(|&spec| self.lookup(spec)).collect();
+        let misses: Vec<(CellSpec<'_>, &CacheKey)> = specs
+            .iter()
+            .zip(&probed)
+            .filter_map(|(&spec, probe)| probe.as_ref().err().map(|key| (spec, key)))
+            .collect();
+        let mut computed =
+            par::par_map(&misses, |&(spec, key)| self.compute(spec, key)).into_iter();
+        probed
+            .into_iter()
+            .map(|probe| probe.unwrap_or_else(|_| computed.next().expect("one result per miss")))
+            .collect()
     }
 
     /// Mirrors one cache insertion into the logs: newly dirtied II
