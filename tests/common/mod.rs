@@ -62,7 +62,7 @@ pub fn render_stats(stats: &SimStats) -> String {
 /// The search-effort snapshot shared by `golden_parity` and
 /// `golden_scale`: each binary owns the lines that start with its
 /// section name.
-pub const SEARCH_EFFORT_PATH: &str = "tests/golden/search_effort.txt";
+const SEARCH_EFFORT_PATH: &str = "tests/golden/search_effort.txt";
 
 /// One search-effort line: the scheduler's deterministic work counters
 /// for one configuration. They pin how hard the II search works, so a
